@@ -26,6 +26,8 @@
 //! packet to a list of `(dst, msg)` emissions. The testbed adapts it onto
 //! the simulator's switch pipeline.
 
+use std::sync::Arc;
+
 use fxhash::FxHashMap;
 
 use raft::{LogIndex, Message, RaftId, Term};
@@ -274,7 +276,8 @@ impl Aggregator {
     }
 
     fn emit_commit(&self) -> Vec<(u32, WireMsg)> {
-        let status: Vec<AggStatus> = self
+        // One row set per commit, shared by every member's copy.
+        let status: Arc<[AggStatus]> = self
             .members
             .iter()
             .filter(|&&n| Some(n) != self.leader)

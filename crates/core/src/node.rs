@@ -23,6 +23,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use fxhash::{FxHashMap, FxHashSet};
 
@@ -509,6 +510,12 @@ impl<S: Service> HcNode<S> {
                 data: durable.snapshot,
             });
         }
+        // The restored suffix already binds its requests to slots; the
+        // empty pool must not let a late copy of one be ordered again.
+        let log = node.raft.log();
+        let ids = (log.first_index()..=log.last_index())
+            .filter_map(|idx| log.get(idx).map(|e| e.cmd.desc.id));
+        node.pool.bind_restored(ids);
         Ok(node)
     }
 
@@ -806,15 +813,10 @@ impl<S: Service> HcNode<S> {
                 }
             }
             Mode::Hovercraft | Mode::HovercraftPp => {
-                // Duplicate suppression: a request already bound to a log
-                // slot lives in the archive.
-                if self.pool.is_archived(id) {
-                    return;
-                }
                 // Every node parks the multicast request; only the leader
-                // orders it.
-                self.pool.insert(id, kind, body, now);
-                if self.is_leader() {
+                // orders it. Duplicate suppression: a request already bound
+                // to a log slot is not parked again.
+                if self.pool.insert(id, kind, body, now) && self.is_leader() {
                     let desc = EntryDesc::new(id, hash, kind);
                     if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
                         self.push_event(ProtoEvent::Proposed { index, id });
@@ -917,7 +919,7 @@ impl<S: Service> HcNode<S> {
         &mut self,
         term: u64,
         commit: LogIndex,
-        status: Vec<AggStatus>,
+        status: Arc<[AggStatus]>,
         now: u64,
         out: &mut Vec<Output>,
         arena: &mut ByteArena,
@@ -929,7 +931,7 @@ impl<S: Service> HcNode<S> {
             // Fold the register snapshot back into Raft as the per-follower
             // replies the aggregator absorbed (§6.4: the aggregator is part
             // of the leader; this reconstruction costs no wire messages).
-            for s in status {
+            for &s in status.iter() {
                 self.ledger.observe_applied(s.node, s.applied_index);
                 self.ledger.note_heard(s.node, now);
                 self.push_event(ProtoEvent::AppendAcked {

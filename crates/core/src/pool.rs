@@ -11,7 +11,7 @@
 //! serve `recovery_request`s from peers that missed the multicast, and so
 //! the applier can execute entries in log order.
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 
 use bytes::Bytes;
 use r2p2::ReqId;
@@ -42,6 +42,10 @@ pub struct UnorderedPool {
     /// GC timeout expires them, which bounds memory by the request rate
     /// times the timeout instead of the full history.
     compacted: FxHashMap<ReqId, u64>,
+    /// Ids bound to a slot of a restored log suffix whose body this
+    /// incarnation has not seen yet (see [`UnorderedPool::bind_restored`]).
+    /// Ordered like the archive, but bodiless until a copy arrives.
+    restored: FxHashSet<ReqId>,
 }
 
 impl UnorderedPool {
@@ -51,16 +55,26 @@ impl UnorderedPool {
     }
 
     /// Parks a client request awaiting ordering. Duplicate arrivals (e.g.
-    /// client retries) keep the first copy.
-    pub fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+    /// client retries) keep the first copy. Returns whether the request
+    /// awaits ordering: false if it is already bound to a log slot — a
+    /// duplicate of an archived or compacted request is dropped, and the
+    /// first copy of a request bound by a restored log suffix goes
+    /// straight to the archive.
+    pub fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) -> bool {
         if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
-            return;
+            return false;
         }
-        self.unordered.entry(id).or_insert(PooledReq {
+        let req = PooledReq {
             kind,
             body,
             arrived: now,
-        });
+        };
+        if self.restored.remove(&id) {
+            self.archive.insert(id, req);
+            return false;
+        }
+        self.unordered.entry(id).or_insert(req);
+        true
     }
 
     /// True if the request is available (unordered or archived).
@@ -69,10 +83,13 @@ impl UnorderedPool {
     }
 
     /// True if the request has already been bound to a log slot (it sits in
-    /// the archive, or was compacted out of it by a snapshot). Used for
-    /// duplicate suppression on the leader.
+    /// the archive, was compacted out of it by a snapshot, or is bound by
+    /// a restored log suffix). Used for duplicate suppression on the
+    /// leader.
     pub fn is_archived(&self, id: ReqId) -> bool {
-        self.archive.contains_key(&id) || self.compacted.contains_key(&id)
+        self.archive.contains_key(&id)
+            || self.compacted.contains_key(&id)
+            || self.restored.contains(&id)
     }
 
     /// Looks up a request body wherever it lives.
@@ -100,6 +117,7 @@ impl UnorderedPool {
     /// Inserts a body recovered from a peer directly into the archive.
     pub fn insert_recovered(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
         self.unordered.remove(&id);
+        self.restored.remove(&id);
         self.archive.entry(id).or_insert(PooledReq {
             kind,
             body,
@@ -165,6 +183,7 @@ impl UnorderedPool {
     pub fn seed_tombstones(&mut self, ids: &[ReqId], now: u64) -> usize {
         let mut dropped = 0;
         for id in ids {
+            self.restored.remove(id);
             if self.unordered.remove(id).is_some() {
                 dropped += 1;
             }
@@ -176,9 +195,32 @@ impl UnorderedPool {
         dropped
     }
 
+    /// Marks the ids bound in a log suffix restored by a crash–restart as
+    /// ordered. The new incarnation's pool starts empty, so without this a
+    /// late copy of such a request (a client retry, a delayed multicast)
+    /// would be parked as unordered — and once this node leads, ordered a
+    /// second time at a fresh index (§5's "order what the old leader left
+    /// unordered" pass, or plain duplicate suppression on arrival). Ids
+    /// the pool already tracks keep their state; an unordered copy moves
+    /// to the archive.
+    pub fn bind_restored(&mut self, ids: impl IntoIterator<Item = ReqId>) {
+        for id in ids {
+            if !self.mark_ordered(id) {
+                self.restored.insert(id);
+            }
+        }
+    }
+
     /// Feeds the pool's full content into `h` for model-checker state
     /// fingerprints: all three maps as id-sorted vectors, arrival times as
     /// ages relative to `now` (only age drives GC behaviour).
+    ///
+    /// The restored-id set is left out on purpose. It only changes what a
+    /// client `Request` for a restored id does, and the model checker
+    /// hands each request to the nodes live at injection, once and never
+    /// again, so no incarnation restored after the injection can receive
+    /// it. States that differ only in this set therefore have identical
+    /// futures. Hash it too if a scope ever gains client retries.
     pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher) {
         fn side(map: &FxHashMap<ReqId, PooledReq>, now: u64, h: &mut dyn std::hash::Hasher) {
             let mut reqs: Vec<(u64, &PooledReq)> =
@@ -218,7 +260,7 @@ impl UnorderedPool {
     pub fn compact_archive(&mut self, ids: &[ReqId], now: u64) -> usize {
         let before = self.archive.len();
         for id in ids {
-            if self.archive.remove(id).is_some() {
+            if self.archive.remove(id).is_some() || self.restored.remove(id) {
                 self.compacted.insert(*id, now);
             }
         }
@@ -352,6 +394,33 @@ mod tests {
         // Seeded tombstones expire on the normal GC boundary.
         p.gc(50 + 601, 600);
         assert!(!p.is_archived(id(7)));
+    }
+
+    #[test]
+    fn restored_ids_are_ordered_and_archive_their_first_copy() {
+        let mut p = UnorderedPool::new();
+        // A parked copy of a restored id is already in hand: archive it.
+        p.insert(id(1), OpKind::ReadWrite, body(), 0);
+        p.bind_restored([id(1), id(2), id(3)]);
+        assert_eq!(p.unordered_len(), 0);
+        assert_eq!(p.archived_len(), 1);
+        assert!(p.unordered_ids().is_empty(), "nothing left to re-propose");
+        assert!(p.is_archived(id(2)), "bound ids suppress re-ordering");
+        // Bodiless until a copy arrives: AppendEntries still recovers it.
+        assert!(!p.mark_ordered(id(2)));
+        assert!(p.get(id(2)).is_none());
+        // A client retry of a bound id is stored, not parked.
+        assert!(!p.insert(id(2), OpKind::ReadWrite, body(), 5));
+        assert_eq!(p.unordered_len(), 0);
+        assert!(p.mark_ordered(id(2)));
+        assert_eq!(&p.get(id(2)).unwrap().body[..], b"req");
+        // A compacted bound id leaves a tombstone behind.
+        p.compact_archive(&[id(3)], 9);
+        assert_eq!(p.tombstone_ids(), vec![id(3)]);
+        assert!(
+            p.insert(id(4), OpKind::ReadWrite, body(), 10),
+            "fresh ids park"
+        );
     }
 
     #[test]

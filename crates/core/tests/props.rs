@@ -157,7 +157,9 @@ proptest! {
             now += t;
             let id = ReqId::new(5, 5, rid);
             match kind {
-                0 => pool.insert(id, OpKind::ReadWrite, Bytes::from_static(b"x"), now),
+                0 => {
+                    pool.insert(id, OpKind::ReadWrite, Bytes::from_static(b"x"), now);
+                }
                 1 => {
                     if pool.mark_ordered(id) {
                         archived.insert(id);

@@ -30,8 +30,14 @@ impl Default for KvService {
 impl KvService {
     /// Wraps a fresh store with the given cost model.
     pub fn new(cost: CostModel) -> KvService {
+        KvService::with_store(Store::new(), cost)
+    }
+
+    /// Wraps an existing store (e.g. a clone of a preloaded image) with
+    /// the given cost model.
+    pub fn with_store(store: Store, cost: CostModel) -> KvService {
         KvService {
-            store: Store::new(),
+            store,
             cost,
             decode_errors: 0,
         }
@@ -40,11 +46,6 @@ impl KvService {
     /// The underlying store (for test inspection).
     pub fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// Mutable store access (e.g. dataset preloading).
-    pub fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
     }
 }
 

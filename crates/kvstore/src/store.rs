@@ -32,7 +32,13 @@ pub struct ExecMetrics {
 }
 
 /// The data store.
-#[derive(Default)]
+///
+/// Cloning is cheap relative to building: keys and values are refcounted
+/// immutable [`Bytes`], so a clone copies only the B-tree nodes and shares
+/// every payload with the original. Mutations replace values rather than
+/// editing them in place, so a clone never observes the other's writes —
+/// which is what lets one preloaded image seed every replica.
+#[derive(Clone, Default)]
 pub struct Store {
     map: BTreeMap<Bytes, Value>,
 }
@@ -672,6 +678,38 @@ mod tests {
         assert!(r.is_empty(), "failed restore leaves the store empty");
         assert!(r.restore(&[]) || r.is_empty());
         assert!(Store::new().restore(&Store::new().snapshot()), "empty ok");
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_image_untouched() {
+        let mut image = Store::new();
+        for i in 0..8 {
+            let key = format!("user{i:04}");
+            image.execute(&Command::Insert(b("t"), b(&key), b("record")));
+        }
+        image.execute(&Command::Set(b("k"), b("v")));
+        let before = image.snapshot();
+
+        let mut clone = image.clone();
+        assert_eq!(clone.snapshot(), before, "a fresh clone is the image");
+        clone.execute(&Command::Insert(b("t"), b("user0003"), b("rewritten")));
+        clone.execute(&Command::Insert(b("t"), b("user9999"), b("new")));
+        clone.execute(&Command::Set(b("k"), b("v2")));
+        clone.execute(&Command::Del(b("t/user0000")));
+        assert_ne!(clone.snapshot(), before);
+        assert_eq!(
+            image.snapshot(),
+            before,
+            "writes to a clone leak into the image"
+        );
+        clone.execute(&Command::FlushAll);
+        assert!(clone.is_empty());
+        assert_eq!(
+            image.snapshot(),
+            before,
+            "FLUSHALL on a clone empties the image"
+        );
+        assert_eq!(image.len(), 9);
     }
 
     #[test]

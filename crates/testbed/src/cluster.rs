@@ -3,11 +3,12 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use hovercraft::{HcConfig, HcNode, Mode, WireMsg};
-use minikv::{CostModel, KvService};
+use minikv::{CostModel, KvService, Store};
 use simnet::{Addr, FabricParams, NicParams, NodeId, Sim, SimDur, SimTime, Tracer};
-use workload::{RecordSpec, SynthService, SynthSpec, YcsbGen, YcsbWorkload};
+use workload::{load_phase, RecordSpec, SynthService, SynthSpec, YcsbGen, YcsbWorkload};
 
 use crate::client::{ClientAgent, ClientResults, ClientWorkload, RetryPolicy};
 use crate::invariants::{InvariantChecker, Violation};
@@ -158,30 +159,43 @@ pub struct Cluster {
     opts: ClusterOpts,
 }
 
-fn make_service(kind: ServiceKind) -> Box<dyn hovercraft::Service> {
-    match kind {
-        ServiceKind::Synth => Box::new(SynthService::default()),
-        ServiceKind::Kv => Box::new(KvService::new(CostModel::default())),
-    }
+/// The application state every server starts from, built once per
+/// [`Cluster::build`] (outside simulated time). Each replica — and each
+/// crash–restart incarnation, whose state machine re-applies its log from
+/// this image — gets its own instance via [`ServiceImage::instantiate`].
+/// The Kv image is a preloaded [`Store`] shared by reference: instances
+/// are cheap clones whose record payloads stay shared with the image.
+#[derive(Clone)]
+enum ServiceImage {
+    Synth,
+    Kv(Arc<Store>),
 }
 
-/// Builds the application service for one server, preloaded identically on
-/// every replica (outside simulated time). Also the service factory for
-/// crash–restart rejoin: a restarted node's state machine starts from this
-/// same preloaded image and re-applies its log from index 1.
-fn build_service(opts: &ClusterOpts) -> Box<dyn hovercraft::Service> {
-    let mut svc = make_service(opts.service);
-    if opts.service == ServiceKind::Kv {
-        if let WorkloadKind::Ycsb { records, .. } = &opts.workload {
-            let gen = YcsbGen::new(YcsbWorkload::E, *records, RecordSpec::default(), 0);
-            // Preload runs outside simulated time; a throwaway arena is fine.
-            let mut arena = bytes::ByteArena::new();
-            for cmd in gen.load_phase() {
-                svc.execute(&cmd.encode(), false, &mut arena);
+impl ServiceImage {
+    fn build(opts: &ClusterOpts) -> ServiceImage {
+        match opts.service {
+            ServiceKind::Synth => ServiceImage::Synth,
+            ServiceKind::Kv => {
+                let mut store = Store::new();
+                if let WorkloadKind::Ycsb { records, .. } = &opts.workload {
+                    for cmd in load_phase(*records, RecordSpec::default()) {
+                        store.execute(&cmd);
+                    }
+                }
+                ServiceImage::Kv(Arc::new(store))
             }
         }
     }
-    svc
+
+    fn instantiate(&self) -> Box<dyn hovercraft::Service> {
+        match self {
+            ServiceImage::Synth => Box::new(SynthService::default()),
+            ServiceImage::Kv(store) => Box::new(KvService::with_store(
+                Store::clone(store),
+                CostModel::default(),
+            )),
+        }
+    }
 }
 
 /// NIC profile for client generators: the paper uses a pool of Lancet
@@ -203,12 +217,13 @@ impl Cluster {
         let mut sim: Sim<WireMsg> = Sim::new(FabricParams::default(), opts.seed);
         let n = opts.n;
         let members: Vec<u32> = (0..n).collect();
+        let image = ServiceImage::build(&opts);
 
         // Servers occupy node ids 0..n so Raft ids equal addresses.
         let mut servers = Vec::with_capacity(n as usize);
         for id in &members {
             let agent: Box<dyn simnet::Agent<WireMsg>> = match opts.setup.mode() {
-                None => Box::new(UnrepAgent::new(build_service(&opts))),
+                None => Box::new(UnrepAgent::new(image.instantiate())),
                 Some(mode) => {
                     let mut rc = raft::Config::new(*id, members.clone());
                     rc.seed = opts.seed.wrapping_mul(31).wrapping_add(*id as u64 * 7 + 3);
@@ -227,7 +242,7 @@ impl Cluster {
                     if opts.snap_chunk_bytes > 0 {
                         cfg.snap_chunk_bytes = opts.snap_chunk_bytes;
                     }
-                    Box::new(ServerAgent::new(cfg, build_service(&opts)))
+                    Box::new(ServerAgent::new(cfg, image.instantiate()))
                 }
             };
             servers.push(sim.add_node(agent));
@@ -245,13 +260,14 @@ impl Cluster {
             }
             // Crash–restart rejoin: rebuild the agent from the crashed
             // node's durable state (term, vote, log suffix, snapshot,
-            // incarnation epoch); everything else — pool, ledger, commit
-            // index — restarts empty and is reconstructed by re-applying
-            // the log above the snapshot, with missing bodies re-fetched
-            // via the recovery protocol (§5). The epoch check makes a
-            // restore from a stale incarnation a traced, fatal error
-            // instead of a silent reinitialization.
-            let hook_opts = opts.clone();
+            // incarnation epoch) over a fresh instance of the service
+            // image; everything else — pool, ledger, commit index —
+            // restarts empty and is reconstructed by re-applying the log
+            // above the snapshot, with missing bodies re-fetched via the
+            // recovery protocol (§5). The epoch check makes a restore from
+            // a stale incarnation a traced, fatal error instead of a
+            // silent reinitialization.
+            let hook_image = image.clone();
             let hook_tracer = tracer.clone();
             sim.set_restart_hook(Box::new(move |node, now, old| {
                 let crashed = old
@@ -263,7 +279,7 @@ impl Cluster {
                 let new_epoch = crashed.epoch() + 1;
                 let restored = HcNode::restore(
                     crashed.config().clone(),
-                    build_service(&hook_opts),
+                    hook_image.instantiate(),
                     now.as_nanos(),
                     durable,
                     new_epoch,

@@ -21,5 +21,5 @@ mod zipf;
 
 pub use dist::ServiceDist;
 pub use synth::{decode_request, encode_request, SynthService, SynthSpec, SYNTH_MIN_BODY};
-pub use ycsb::{key_of, RecordSpec, YcsbGen, YcsbOp, YcsbWorkload};
+pub use ycsb::{key_of, load_phase, RecordSpec, YcsbGen, YcsbOp, YcsbWorkload};
 pub use zipf::{fnv_scramble, Zipfian};

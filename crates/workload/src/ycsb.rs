@@ -86,9 +86,25 @@ pub struct YcsbGen {
     rng: SmallRng,
 }
 
+/// The YCSB table every generated command addresses.
+const TABLE: &[u8] = b"usertable";
+
 /// Formats the canonical YCSB key for a rank.
 pub fn key_of(rank: u64) -> String {
     format!("user{rank:012}")
+}
+
+/// Commands that load the initial dataset (the YCSB load phase): one
+/// `INSERT` per rank `0..record_count`, in rank order. The keyspace a
+/// [`YcsbGen`] over `record_count` records expects to find.
+pub fn load_phase(record_count: u64, spec: RecordSpec) -> impl Iterator<Item = Command> {
+    (0..record_count).map(move |r| {
+        Command::Insert(
+            Bytes::from_static(TABLE),
+            Bytes::from(key_of(r)),
+            spec.build(r),
+        )
+    })
 }
 
 impl YcsbGen {
@@ -100,25 +116,12 @@ impl YcsbGen {
         YcsbGen {
             workload,
             spec,
-            table: Bytes::from_static(b"usertable"),
+            table: Bytes::from_static(TABLE),
             insert_cursor: record_count,
             zipf: Zipfian::ycsb(record_count),
             max_scan_len: 10,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// Commands that load the initial dataset (the YCSB load phase).
-    pub fn load_phase(&self) -> Vec<Command> {
-        (0..self.zipf.n())
-            .map(|r| {
-                Command::Insert(
-                    self.table.clone(),
-                    Bytes::from(key_of(r)),
-                    self.spec.build(r),
-                )
-            })
-            .collect()
     }
 
     fn zipf_key(&mut self) -> u64 {
@@ -278,7 +281,7 @@ mod tests {
         };
         let mut g = YcsbGen::new(YcsbWorkload::E, 100, spec, 5);
         let mut store = Store::new();
-        for cmd in g.load_phase() {
+        for cmd in load_phase(100, spec) {
             store.execute(&cmd);
         }
         assert_eq!(store.len(), 100);

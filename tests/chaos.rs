@@ -412,6 +412,22 @@ fn regression_snap55_install_seeds_dedupe_tombstones_for_covered_ids() {
     run_snapshot_chaos_case(55);
 }
 
+/// Seed 56 — double ordering after a live-node restart. Leader n4 ordered
+/// request `6:1000:982` at index 1889 and was then crash-restarted while
+/// still alive. Its new incarnation came back with the log suffix (index
+/// 1889 included) but an empty pool, so a client retry of that request
+/// was parked as *unordered*; after n4 won the next election, the §5
+/// "order what the old leader left unordered" pass proposed it again at
+/// index 2039, and two replicas answered it (`exactly_one_reply`). Fixed
+/// by `UnorderedPool::bind_restored`: a restore marks every id bound in
+/// the restored log suffix as ordered, so no leader ordering site can
+/// bind it to a second slot, and a late copy of its body lands straight
+/// in the archive.
+#[test]
+fn regression_56_restarted_leader_must_not_reorder_restored_ids() {
+    run_chaos_case(56);
+}
+
 /// The transfer-livelock regression, pinned as a deterministic scenario
 /// rather than a seed: with chunking slow enough that streaming one
 /// snapshot takes longer than one compaction interval, the serving side
